@@ -1,6 +1,5 @@
 """Sweep-runner benchmarks: warm-pool parallel speedup with
-byte-identical results, the redeemed calendar-queue event core, and the
-content-addressed decode cache.  Results land in BENCH_PR10.json
+byte-identical results and the content-addressed decode cache.  Results land in BENCH_PR10.json
 (BENCH_PR8.json stays committed as the pre-fix historical record).
 
 PR 8's methodology let a 0.92x "speedup" ship green: it timed a fresh
@@ -16,7 +15,7 @@ floor.  This file fixes all three:
   metric is ``sweep.parallel_efficiency`` = speedup / min(workers,
   cores, points) — 1.0 is perfect scaling on *this* machine, so the
   floor travels from the 1-core dev box to a 4-core CI runner;
-* the efficiency, calendar and cache ratios are asserted against
+* the efficiency and cache ratios are asserted against
   ``benchmarks/perf_baseline.json`` at the end of this file, so a
   regression fails the suite instead of being silently recorded.
 """
@@ -117,77 +116,6 @@ def test_sweep_parallel_speedup_and_identity():
             f"got {speedup:.2f}x"
 
 
-def test_calendar_queue_event_rate():
-    """Dense-timer event core: heap vs calendar vs the honest "auto"
-    policy on the same workload.  When the per-box calibration says the
-    calendar wins, it must actually win (>= 1.0), and auto must land on
-    whichever representation the calibration picked.
-
-    Methodology notes: 8000 concurrent tickers keep the pending set
-    dense (heap pops pay ~log2(8000) sift levels, calendar pops are
-    bucket-local), and the three schedulers are timed *interleaved*,
-    best-of-7 each — back-to-back blocks let background load drift
-    favour whichever leg ran during a quiet spell, which is exactly how
-    PR 8 recorded a loss as a win."""
-    from repro.sim import Environment
-    from repro.sim.core import scheduler_calibration
-
-    SCHEDULERS = ("heap", "calendar", "auto")
-    N, UNTIL, REPS = 8000, 0.06, 7
-
-    def soup(scheduler, until=UNTIL, probe=None):
-        env = Environment(scheduler=scheduler)
-
-        def ticker(period):
-            while True:
-                yield env.timeout(period)
-
-        for i in range(N):
-            env.process(ticker(0.001 + 1e-6 * i))
-        t0 = time.perf_counter()
-        env.run(until=until)
-        elapsed = time.perf_counter() - t0
-        if probe is not None:
-            probe.append(env.scheduler_active)
-        return elapsed, env.events_processed
-
-    verdict = scheduler_calibration()
-    active = []
-    events = soup("heap", probe=active)[1]
-    assert events == soup("calendar", probe=active)[1]
-    assert events == soup("auto", probe=active)[1]  # identical counts
-    # Structural honesty: the pinned modes are what they claim, and
-    # "auto" lands wherever the per-box calibration pointed it.
-    assert active == ["heap", "calendar", verdict]
-
-    runs = {s: [] for s in SCHEDULERS}
-    for s in SCHEDULERS:                            # warmup
-        soup(s, until=UNTIL / 5)
-    for _ in range(REPS):                           # interleaved
-        for s in SCHEDULERS:
-            runs[s].append(soup(s)[0])
-
-    res = [BenchResult(name=f"sim.soup[{s}]", best_s=min(runs[s]),
-                       mean_s=sum(runs[s]) / REPS, runs=tuple(runs[s]),
-                       reps=1, units={"events": float(events)})
-           for s in SCHEDULERS]
-    ratio = min(runs["heap"]) / min(runs["calendar"])
-    auto_ratio = min(runs["heap"]) / min(runs["auto"])
-    _bench_out(res, {
-        "sim.calendar_vs_heap": ratio,
-        "sim.auto_vs_heap": auto_ratio,
-        "sim.auto_picks_calendar": float(verdict == "calendar")})
-    print(f"\ncalendar vs heap on {events:,} events: {ratio:.2f}x; "
-          f"auto vs heap: {auto_ratio:.2f}x (calibration: {verdict})")
-    if verdict == "calendar":
-        assert ratio >= 1.0, \
-            f"calibration chose the calendar but it lost: {ratio:.2f}x"
-    # Auto runs the exact same loop as whichever side it picked (proven
-    # structurally above); the timing assert is only a noise floor.
-    assert auto_ratio >= 0.70 * min(ratio, 1.0), \
-        f"auto pathologically slow: {auto_ratio:.2f}x vs heap"
-
-
 def test_decode_cache_speedup():
     """Functional-decode cache: a content-addressed hit must be far
     cheaper than a real decode, with bit-identical pixels."""
@@ -267,7 +195,6 @@ def test_bench_artifacts_valid():
     assert doc["schema"] == "repro-perf/1"
     assert "sweep.parallel4_speedup" in doc["derived"]
     assert "sweep.parallel_efficiency" in doc["derived"]
-    assert "sim.calendar_vs_heap" in doc["derived"]
 
     with open(BENCH_PR8) as fh:       # history, never regenerated here
         old = json.load(fh)

@@ -465,9 +465,7 @@ _PATCHES: list[tuple[Any, str, Any]] = [
     (_resize, "resize_bilinear", resize_bilinear_ref),
     (_decoder, "resize_bilinear", resize_bilinear_ref),
     (_decoder, "planes_to_image", planes_to_image_ref),
-    # sim kernel — _FORCE_HEAP pins new Environments to the pre-pass
-    # binary-heap scheduler so calendar migration can't occur mid-A/B.
-    (_core, "_FORCE_HEAP", True),
+    # sim kernel
     (_core.Event, "succeed", _succeed_ref),
     (_core.Event, "_run_callbacks", _run_callbacks_ref),
     (_core.Timeout, "__init__", _timeout_init_ref),

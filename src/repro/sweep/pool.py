@@ -15,10 +15,6 @@ search — paid that tax per probe.
   copy-on-write — zero per-worker warmup;
 * **spawn platforms**: a pool initializer performs the same warmup once
   per worker process, at pool construction instead of first-task time;
-* either way the parent's once-per-process scheduler calibration
-  verdict (see :func:`repro.sim.core.scheduler_calibration`) is pinned
-  into every worker, so workers neither re-measure nor diverge from the
-  parent's choice;
 * tasks are dispatched in chunks sized to the task/worker ratio rather
   than one IPC round-trip per point;
 * :func:`shared_pool` keeps one pool per (processes, start_method)
@@ -70,12 +66,9 @@ def warm_process() -> None:
     _WARMED = True
 
 
-def _worker_init(verdict: Optional[str], preload: bool) -> None:
-    """Pool initializer: pin the parent's scheduler verdict and (for
-    spawn workers, which inherit nothing) perform the warmup."""
-    from ..sim.core import scheduler_calibration
-    if verdict is not None:
-        scheduler_calibration(force=verdict)
+def _worker_init(preload: bool) -> None:
+    """Pool initializer: spawn workers, which inherit nothing, perform
+    the warmup."""
     if preload:
         warm_process()
 
@@ -104,18 +97,14 @@ class WorkerPool:
         self.processes = processes
         self.start_method = resolve_start_method(start_method)
         self._closed = False
-        verdict = None
-        if warm:
-            from ..sim.core import scheduler_calibration
-            verdict = scheduler_calibration()
-            if self.start_method == "fork":
-                # Warm the parent, fork the warmth (copy-on-write).
-                warm_process()
+        if warm and self.start_method == "fork":
+            # Warm the parent, fork the warmth (copy-on-write).
+            warm_process()
         ctx = multiprocessing.get_context(self.start_method)
         preload = warm and self.start_method != "fork"
         self._pool = ctx.Pool(processes=processes,
                               initializer=_worker_init,
-                              initargs=(verdict, preload))
+                              initargs=(preload,))
 
     @property
     def closed(self) -> bool:

@@ -1,208 +1,36 @@
-"""Calendar-queue scheduler: exact-order contract with the binary heap.
+"""The event order the calendar-queue scheduler was held to.
 
-The calendar (ladder) queue lives behind the same pending-set interface
-as the heap; the only acceptable difference is wall-clock.  These tests
-pin the pop order bit-exactly, the density-based migration points, and
-the ``reference_mode()`` escape hatch that keeps A/B replays on the
-pre-PR8 heap.
+The calendar queue and the ``scheduler=`` option are gone; the kernel
+is a single binary heap.  While both schedulers existed, this load was
+required to give bit-identical event logs and counts under either one.
+Those logs are pinned here, so the heap-only kernel must reproduce
+exactly the order both schedulers agreed on.
 """
 
-import heapq
-import random
+import hashlib
 
 import pytest
 
-import repro.sim.core as core
-from repro.sim import CalendarQueue, Environment
-from repro.sim.core import _CAL_THRESHOLD
+from repro.sim import Environment
+from tests.sim.test_core import _actor_soup
 
-
-def _items(n, seed, span=10.0):
-    rng = random.Random(seed)
-    return [(rng.uniform(0.0, span), eid, object()) for eid in range(n)]
-
-
-class TestCalendarQueueOrder:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_pops_in_heap_order(self, seed):
-        items = _items(300, seed)
-        heap = list(items)
-        heapq.heapify(heap)
-        cal = CalendarQueue.from_items(list(items))
-        assert len(cal) == len(heap)
-        while heap:
-            assert cal.pop() == heapq.heappop(heap)
-        assert len(cal) == 0
-
-    def test_interleaved_push_pop(self):
-        rng = random.Random(42)
-        items = _items(200, 7)
-        heap, cal = [], CalendarQueue.from_items(list(items[:100]))
-        for it in items[:100]:
-            heapq.heappush(heap, it)
-        for it in items[100:]:
-            cal.push(it)
-            heapq.heappush(heap, it)
-            if rng.random() < 0.5 and heap:
-                assert cal.pop() == heapq.heappop(heap)
-        while heap:
-            assert cal.pop() == heapq.heappop(heap)
-
-    def test_min_time_tracks_head(self):
-        items = _items(64, 3)
-        cal = CalendarQueue.from_items(list(items))
-        assert cal.min_time() == min(t for t, _, _ in items)
-
-    def test_far_future_push_does_not_overflow(self):
-        cal = CalendarQueue.from_items([(0.0, 0, object())])
-        cal.push((1e308, 1, object()))     # would overflow int(t / width)
-        assert cal.pop()[0] == 0.0
-        assert cal.pop()[0] == 1e308
-
-
-@pytest.fixture
-def pinned_verdict():
-    """Pin the "auto" calibration verdict for a test, restoring after."""
-    saved = core._AUTO_VERDICT
-
-    def pin(verdict):
-        core.scheduler_calibration(force=verdict)
-
-    yield pin
-    core._AUTO_VERDICT = saved
-
-
-class TestSchedulerSelection:
-    def test_auto_starts_on_heap(self):
-        env = Environment()
-        assert env.scheduler_active == "heap"
-
-    def test_auto_migrates_past_threshold_when_calendar_wins(
-            self, pinned_verdict):
-        pinned_verdict("calendar")
-        env = Environment()
-        for _ in range(_CAL_THRESHOLD + 8):
-            env.timeout(1.0)
-        env.run(until=0.5)
-        assert env.scheduler_active == "calendar"
-
-    def test_auto_stays_on_heap_when_calibration_says_heap(
-            self, pinned_verdict):
-        pinned_verdict("heap")
-        env = Environment()
-        for _ in range(_CAL_THRESHOLD + 8):
-            env.timeout(1.0)
-        env.run(until=0.5)
-        assert env.scheduler_active == "heap"
-
-    def test_calibration_caches_and_returns_valid_verdict(self):
-        saved = core._AUTO_VERDICT
-        try:
-            core.scheduler_calibration(force="")       # clear cache
-            verdict = core.scheduler_calibration()     # real measurement
-            assert verdict in ("heap", "calendar")
-            assert core.scheduler_calibration() == verdict   # cached
-            with pytest.raises(ValueError):
-                core.scheduler_calibration(force="wheel")
-        finally:
-            core._AUTO_VERDICT = saved
-
-    def test_auto_demotes_on_pathological_late_pushes(self, pinned_verdict):
-        """An "auto" env whose calendar sees a hostile push pattern
-        (most pushes landing in the draining bucket) reverts to the
-        heap at the next boundary — and stays there."""
-        pinned_verdict("calendar")
-        env = Environment()
-        for _ in range(_CAL_THRESHOLD + 8):
-            env.timeout(1.0)
-        env.run(until=0.5)
-        assert env.scheduler_active == "calendar"
-        cal = env._cal
-        # Simulate the guard's trigger condition directly: counters say
-        # pushes since migration are overwhelmingly late.
-        env._cal_mark = env.events_processed - core._CAL_GUARD_MIN_EVENTS
-        cal._late = core._CAL_GUARD_MIN_EVENTS
-        env.run(until=0.75)
-        assert env.scheduler_active == "heap"
-        assert env._cal_banned
-        env.run(until=2.0)                 # never re-promotes
-        assert env.scheduler_active == "heap"
-        # Demotion lost no events: every timeout still fires once.
-        assert env.events_processed == _CAL_THRESHOLD + 8
-
-    def test_stale_density_triggers_rebuild_not_demotion(self):
-        env = Environment(scheduler="calendar")
-        env.timeout(1.0)
-        env.run(until=0.5)
-        cal = env._cal
-        cal._needs_rebuild = True
-        env.run(until=0.75)
-        assert env.scheduler_active == "calendar"
-        assert env._cal is not cal         # fresh widths
-        assert not env._cal._needs_rebuild
-
-    def test_forced_calendar_migrates_immediately(self):
-        env = Environment(scheduler="calendar")
-        env.timeout(1.0)
-        env.run(until=0.5)
-        assert env.scheduler_active == "calendar"
-
-    def test_heap_mode_never_migrates(self):
-        env = Environment(scheduler="heap")
-        for _ in range(_CAL_THRESHOLD + 8):
-            env.timeout(1.0)
-        env.run(until=2.0)
-        assert env.scheduler_active == "heap"
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Environment(scheduler="wheel")
-
-    def test_force_heap_flag_pins_heap(self, monkeypatch):
-        monkeypatch.setattr(core, "_FORCE_HEAP", True)
-        env = Environment(scheduler="calendar")
-        env.timeout(1.0)
-        env.run(until=2.0)
-        assert env.scheduler_active == "heap"
-
-
-def _actor_soup(env, seed):
-    """A deliberately messy workload: timers, zero-delays, cancels,
-    processes waking each other — logs every step for comparison."""
-    rng = random.Random(seed)
-    log = []
-
-    def ticker(name, period):
-        while True:
-            yield env.timeout(period)
-            log.append((round(env.now, 9), "tick", name))
-
-    def chatter(name, peer_delay):
-        for i in range(30):
-            yield env.timeout(rng.random() * peer_delay)
-            log.append((round(env.now, 9), "chat", name, i))
-            if rng.random() < 0.3:
-                yield env.timeout(0)
-                log.append((round(env.now, 9), "zero", name, i))
-
-    for i in range(12):
-        env.process(ticker(f"t{i}", 0.01 + 0.013 * i))
-    for i in range(20):
-        env.process(chatter(f"c{i}", 0.05 + 0.01 * (i % 5)))
-    return log
+# seed -> (sha256 of repr(event log), events_processed), as produced by
+# both the heap and the calendar scheduler before the calendar was removed.
+_AGREED_RUNS = {
+    0: ("856e1905616fc874319bd4dfa2f4c89f1536a406fb500c4c0ced7470183d1fcd",
+        1364),
+    1: ("6d61aba370b59f9d6845b0d8b54a54e4c22a3eb7b0394f49ba7b724f8ef82185",
+        1359),
+    2: ("6e073b182422abd0fd5e609771e2504eee784aa0ce9abfb4764472da12558604",
+        1362),
+}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_heap_and_calendar_runs_bit_identical(seed):
-    """The tentpole contract: identical event logs and counts under
-    either scheduler — the calendar queue is a pure wall-clock change."""
-    logs, counts = [], []
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        log = _actor_soup(env, seed)
-        env.run(until=2.0)
-        assert env.scheduler_active == scheduler
-        logs.append(log)
-        counts.append(env.events_processed)
-    assert logs[0] == logs[1]
-    assert counts[0] == counts[1]
+    env = Environment()
+    log = _actor_soup(env, seed)
+    env.run(until=2.0)
+    digest, events = _AGREED_RUNS[seed]
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
+    assert env.events_processed == events

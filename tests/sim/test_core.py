@@ -1,5 +1,8 @@
 """Unit tests for the DES kernel (repro.sim.core)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.sim import (AllOf, AnyOf, Environment, Interrupt,
@@ -23,8 +26,9 @@ def test_timeout_advances_clock():
 
 def test_timeout_negative_delay_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            env.timeout(delay)
 
 
 def test_timeout_carries_value():
@@ -381,22 +385,75 @@ def test_is_alive_lifecycle():
     assert proc.ok
 
 
+def _two_periodic(env):
+    trace = []
+
+    def p(env, name, period):
+        while env.now < 10:
+            yield env.timeout(period)
+            trace.append((name, env.now))
+
+    env.process(p(env, "x", 1.7))
+    env.process(p(env, "y", 2.3))
+    return trace
+
+
+def _actor_soup(env, seed):
+    """A deliberately messy load: timers, zero-delay events and
+    processes waking each other, logging every step."""
+    rng = random.Random(seed)
+    log = []
+
+    def ticker(name, period):
+        while True:
+            yield env.timeout(period)
+            log.append((round(env.now, 9), "tick", name))
+
+    def chatter(name, peer_delay):
+        for i in range(30):
+            yield env.timeout(rng.random() * peer_delay)
+            log.append((round(env.now, 9), "chat", name, i))
+            if rng.random() < 0.3:
+                yield env.timeout(0)
+                log.append((round(env.now, 9), "zero", name, i))
+
+    for i in range(12):
+        env.process(ticker(f"t{i}", 0.01 + 0.013 * i))
+    for i in range(20):
+        env.process(chatter(f"c{i}", 0.05 + 0.01 * (i % 5)))
+    return log
+
+
+# (load, until, sha256 of repr(event log), events_processed).  The pins
+# freeze the kernel's event order: any change to it fails here.
+_PINNED_RUNS = [
+    (_two_periodic, 20.0,
+     "f6c505d240710c3929419a610eefd30dd17c33c314de5b092e234e31b45b9fe8",
+     15),
+    (lambda env: _actor_soup(env, seed=0), 2.0,
+     "856e1905616fc874319bd4dfa2f4c89f1536a406fb500c4c0ced7470183d1fcd",
+     1364),
+    (lambda env: _actor_soup(env, seed=1), 2.0,
+     "6d61aba370b59f9d6845b0d8b54a54e4c22a3eb7b0394f49ba7b724f8ef82185",
+     1359),
+    (lambda env: _actor_soup(env, seed=2), 2.0,
+     "6e073b182422abd0fd5e609771e2504eee784aa0ce9abfb4764472da12558604",
+     1362),
+]
+
+
 def test_determinism_two_runs_identical():
-    def build_and_run():
+    def build_and_run(build, until):
         env = Environment()
-        trace = []
+        log = build(env)
+        env.run(until=until)
+        return log, env.events_processed
 
-        def p(env, name, period):
-            while env.now < 10:
-                yield env.timeout(period)
-                trace.append((name, env.now))
-
-        env.process(p(env, "x", 1.7))
-        env.process(p(env, "y", 2.3))
-        env.run(until=20.0)
-        return trace
-
-    assert build_and_run() == build_and_run()
+    for build, until, digest, events in _PINNED_RUNS:
+        log, processed = build_and_run(build, until)
+        assert (log, processed) == build_and_run(build, until)
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
+        assert processed == events
 
 
 def test_interrupt_while_waiting_on_resource_withdraws_request():
