@@ -69,6 +69,10 @@ class TrainingBackend(ABC):
     def __init__(self, env: Environment, testbed: Testbed, cpu: CpuCorePool,
                  manifest: FileManifest, spec: BatchSpec,
                  seeds: Optional[SeedBank] = None):
+        if len(manifest) == 0:
+            # The epoch loops would spin forever without yielding.
+            raise ValueError(f"{self.name} backend needs a non-empty "
+                             f"manifest")
         self.env = env
         self.testbed = testbed
         self.cpu = cpu

@@ -34,11 +34,35 @@ MNIST_BYTES = 700  # one IDX-style record + framing
 def jpeg_size_sampler(mean_bytes: float = IMAGENET_MEAN_BYTES,
                       sigma: float = IMAGENET_SIGMA):
     """Sampler factory for encoded-JPEG sizes (lognormal)."""
+    mu = np.log(mean_bytes)
 
     def sample(rng: np.random.Generator) -> int:
-        return max(2048, int(rng.lognormal(np.log(mean_bytes), sigma)))
+        return max(2048, int(rng.lognormal(mu, sigma)))
 
     return sample
+
+
+# The most recent modeled-corpus build: ``(key, manifest, generator state
+# after the build)``.  Training workflows rebuild the same 400k-entry
+# corpus once per cell from identically seeded streams; the key holds the
+# stream's exact state before drawing, so a hit returns precisely what a
+# cold build would have, and leaves the stream where the build would.
+_LAST_BUILD: Optional[tuple] = None
+
+
+def _memoised(key: tuple, rng: np.random.Generator,
+              build) -> FileManifest:
+    """``build()`` (drawing from ``rng``), or a copy of the last result
+    when ``key`` and ``rng``'s state match the last build's."""
+    global _LAST_BUILD
+    key = key + (rng.bit_generator.state,)
+    if _LAST_BUILD is not None and _LAST_BUILD[0] == key:
+        _, manifest, state_after = _LAST_BUILD
+        rng.bit_generator.state = state_after
+        return manifest.copy()
+    manifest = build()
+    _LAST_BUILD = (key, manifest.copy(), rng.bit_generator.state)
+    return manifest
 
 
 def imagenet_like_manifest(n: int, seeds: Optional[SeedBank] = None,
@@ -48,13 +72,19 @@ def imagenet_like_manifest(n: int, seeds: Optional[SeedBank] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = (seeds or SeedBank()).stream("imagenet-sizes")
-    sampler = jpeg_size_sampler()
-    manifest = FileManifest(name="ilsvrc12-like")
-    for i in range(n):
-        manifest.add(f"img_{i:08d}.jpg", size_bytes=sampler(rng),
-                     height=hw[0], width=hw[1], channels=3,
-                     label=int(rng.integers(num_classes)))
-    return manifest
+
+    def build() -> FileManifest:
+        sample, integers = jpeg_size_sampler(), rng.integers
+        sizes, labels = [], []
+        for _ in range(n):
+            # One size then one label per file, from one stream:
+            # drawing either column in bulk would reorder the stream.
+            sizes.append(sample(rng))
+            labels.append(int(integers(num_classes)))
+        return FileManifest.from_columns("ilsvrc12-like", "img_{:08d}.jpg",
+                                         sizes, labels, (hw[0], hw[1], 3))
+
+    return _memoised(("imagenet", n, tuple(hw), num_classes), rng, build)
 
 
 def mnist_like_manifest(n: int = 60_000,
@@ -63,12 +93,15 @@ def mnist_like_manifest(n: int = 60_000,
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = (seeds or SeedBank()).stream("mnist-labels")
-    manifest = FileManifest(name="mnist-like")
-    for i in range(n):
-        manifest.add(f"digit_{i:06d}", size_bytes=MNIST_BYTES,
-                     height=28, width=28, channels=1,
-                     label=int(rng.integers(10)))
-    return manifest
+
+    def build() -> FileManifest:
+        integers = rng.integers
+        labels = [int(integers(10)) for _ in range(n)]
+        return FileManifest.from_columns("mnist-like", "digit_{:06d}",
+                                         [MNIST_BYTES] * n, labels,
+                                         (28, 28, 1))
+
+    return _memoised(("mnist", n), rng, build)
 
 
 def synthetic_photo(rng: np.random.Generator, h: int, w: int,

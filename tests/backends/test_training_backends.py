@@ -217,3 +217,14 @@ def test_dlbooster_epoch_shuffle_changes_order_not_count():
     assert backend.epochs_done >= 1
     total = solvers[0].images_trained.total
     assert total >= 2_000
+
+
+@pytest.mark.parametrize("backend", [SyntheticBackend, CpuOnlineBackend,
+                                     LmdbBackend, DLBoosterBackend])
+def test_empty_manifest_rejected(backend):
+    """An empty corpus is refused up front: the epoch loops would
+    otherwise spin without ever yielding, livelocking env.run()."""
+    env, cpu, bspec, _, solvers = build_rig(dataset=10)
+    with pytest.raises(ValueError, match="non-empty manifest"):
+        backend(env, DEFAULT_TESTBED, cpu, FileManifest(), bspec,
+                SeedBank(0))
