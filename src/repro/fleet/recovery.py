@@ -101,13 +101,14 @@ class RetryBudget:
 class RecoveryConfig:
     """Knobs for the balancer's recovery machinery.
 
-    ``hedge_delay_s=None`` derives the hedge delay from the windowed
-    p99 of resolved client latencies (falling back to
-    ``hedge_fallback_frac`` of the deadline until ``hedge_min_samples``
-    resolutions exist).  The budget parameters bound *all* extra
-    dispatches — alternate retries, hedges and re-dispatches share one
-    bucket.  ``sweep_period_s`` paces the deadline reaper that turns
-    black-holed requests into ``expired`` outcomes.
+    ``hedge_delay_s=None`` derives the hedge delay from the p99 of
+    every client latency resolved so far in the run (cumulative, not
+    windowed), falling back to ``hedge_fallback_frac`` of the deadline
+    until ``hedge_min_samples`` resolutions exist.  The budget
+    parameters bound *all* extra dispatches — alternate retries, hedges
+    and re-dispatches share one bucket.  ``sweep_period_s`` paces the
+    deadline reaper that turns black-holed requests into ``expired``
+    outcomes.
     """
 
     redispatch: bool = True

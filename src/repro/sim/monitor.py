@@ -19,6 +19,11 @@ from .core import Environment
 __all__ = ["Counter", "TimeWeighted", "BusyTracker", "LatencyRecorder",
            "IntervalRate", "set_active_registry", "scoped_name"]
 
+# A read after at most this many unsorted records insorts them into the
+# sorted prefix (k binary searches plus C memmoves); a longer tail, or
+# one with no sorted prefix, is folded in with one full sort instead.
+_INSORT_MAX_TAIL = 32
+
 
 def scoped_name(namespace: str, name: str) -> str:
     """Prefix ``name`` with a per-instance metric namespace.
@@ -230,9 +235,12 @@ class LatencyRecorder:
         # deferred work, not different work: entry tuples are unique
         # (the arrival index breaks ties), so sorted content — and with
         # it every percentile, exemplar and eviction decision — is
-        # identical to eager insort.
+        # identical to eager insort.  ``_nsorted`` is the length of the
+        # sorted prefix, noted by record() when the list turns dirty, so
+        # a read only has to fold in the unsorted tail behind it.
         self._sorted: list[tuple[float, int, Optional[int]]] = []
         self._dirty = False
+        self._nsorted = 0
         self._count = 0
         self._sum = 0.0
         # Own-stream sums of recorders folded in via merge(), kept as
@@ -248,9 +256,18 @@ class LatencyRecorder:
         _autoregister(self)
 
     def _flush(self) -> None:
-        if self._dirty:
-            self._sorted.sort()
-            self._dirty = False
+        if not self._dirty:
+            return
+        self._dirty = False
+        reservoir = self._sorted
+        nsorted = self._nsorted
+        if nsorted and len(reservoir) - nsorted <= _INSORT_MAX_TAIL:
+            tail = reservoir[nsorted:]
+            del reservoir[nsorted:]
+            for entry in tail:
+                insort(reservoir, entry)
+        else:
+            reservoir.sort()
 
     def record(self, latency: float, trace_id: Optional[int] = None) -> None:
         if latency < 0:
@@ -264,8 +281,10 @@ class LatencyRecorder:
         entry = (latency, self._count, trace_id)
         reservoir = self._sorted
         if len(reservoir) < self._max_samples:
+            if not self._dirty:
+                self._nsorted = len(reservoir)
+                self._dirty = True
             reservoir.append(entry)
-            self._dirty = True
             if len(reservoir) == self._max_samples:
                 self._flush()       # reservoir phase needs sorted order
             return

@@ -28,16 +28,14 @@ cross-validation of the two implementations on every run.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import zlib
 from dataclasses import dataclass
-from random import Random
 from typing import Any, Optional
 
 import numpy as np
 
-from ..sim.monitor import LatencyRecorder
+from ..sim.monitor import LatencyRecorder, set_active_registry
 
 __all__ = ["PackedRecorder", "pack_recorder", "unpack_recorder",
            "merge_packed", "pack_metrics", "unpack_metrics",
@@ -108,20 +106,13 @@ def _entries_list(packed: PackedRecorder
 
 
 def _new_recorder(name: str, max_samples: int) -> LatencyRecorder:
-    """A bare recorder, bypassing ``__init__``'s auto-registration (the
-    parent process has no ambient registry to pollute)."""
-    rec = LatencyRecorder.__new__(LatencyRecorder)
-    rec.name = name
-    rec._sorted = []
-    rec._dirty = False
-    rec._count = 0
-    rec._sum = 0.0
-    rec._merged_sums = []
-    rec._max_samples = max_samples
-    rec._min = math.inf
-    rec._max = -math.inf
-    rec._rng = Random(zlib.crc32(name.encode()) or 1)
-    return rec
+    """A fresh recorder built with no ambient registry installed (the
+    parent process has no registry for it to announce itself to)."""
+    previous = set_active_registry(None)
+    try:
+        return LatencyRecorder(name=name, max_samples=max_samples)
+    finally:
+        set_active_registry(previous)
 
 
 def unpack_recorder(packed: PackedRecorder) -> LatencyRecorder:

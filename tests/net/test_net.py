@@ -169,8 +169,10 @@ def test_client_image_sizes_plausible():
             r.done_event.succeed()
 
     env.process(server(env))
-    env.run(until=0.01)
-    sizes = []
+    # The assertion below re-samples the size distribution directly;
+    # the run only shows the fleet starts, so 1 ms of zero-latency
+    # round trips is plenty.
+    env.run(until=0.001)
 
     # Re-sample the distribution directly for statistics.
     rng = SeedBank(7).stream("check")

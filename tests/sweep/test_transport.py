@@ -25,6 +25,7 @@ from repro.sweep.transport import (PackedRecorder, crc32_rows,
                                    merge_packed, pack_metrics,
                                    pack_recorder, unpack_metrics,
                                    unpack_recorder)
+from repro.telemetry import MetricsRegistry
 
 
 def build(name, values, cap, tid_style="mixed"):
@@ -89,6 +90,18 @@ class TestRoundTrip:
         rec.record(2.0, trace_id=None)
         back = unpack_recorder(pack_recorder(rec))
         assert back._sorted == [(1.0, 1, -1), (2.0, 2, None)]
+
+    def test_unpack_leaves_ambient_registry_alone(self):
+        """Rebuilt recorders announce themselves to no registry, and the
+        one that was active stays installed afterwards."""
+        packed = pack_recorder(build("w0", [1.0, 2.0], cap=8))
+        registry = MetricsRegistry("ambient")
+        with registry.installed():
+            unpack_recorder(packed)
+            merge_packed("rollup", [packed])
+            assert registry.names() == []
+            LatencyRecorder(name="after")
+            assert registry.names() == ["after"]
 
     def test_packed_is_buffers_not_objects(self):
         packed = pack_recorder(build("w0", [1.0, 2.0, 3.0], cap=8))
