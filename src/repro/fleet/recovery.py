@@ -34,7 +34,7 @@ keeps fault-free runs bit-identical.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -255,10 +255,11 @@ class FlightTable:
         attempt = Attempt(host, proxy, kind, self.env.now)
         proxy.callbacks.append(
             lambda event, f=flight, a=attempt: self._on_settled(f, a, event))
-        copy = dataclasses.replace(
-            flight.request, done_event=proxy,
-            trace=flight.request.trace if kind == "primary" else None)
-        return attempt, copy
+        request = copy.copy(flight.request)
+        request.done_event = proxy
+        if kind != "primary":
+            request.trace = None
+        return attempt, request
 
     def admitted(self, flight: Flight, attempt: Attempt) -> None:
         """Record an attempt that a host accepted."""

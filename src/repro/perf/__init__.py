@@ -1,4 +1,4 @@
-"""Microbenchmark harness and pre-PR reference implementations.
+"""Microbenchmark harness and the pre-optimization reference decoder.
 
 ``repro.perf`` answers one question reproducibly: *how much faster is
 the current code than the implementation it replaced, on this machine,
@@ -8,13 +8,15 @@ right now?*  Three pieces:
   repetitions, min-of-k timing, machine-readable results
   (``repro-perf/1`` JSON), and a tolerance-based regression checker.
 * :mod:`repro.perf.reference` — verbatim pre-optimization
-  implementations of every hot path this pass touched, plus
+  implementations of the JPEG decoder's hot paths, plus
   ``reference_mode()``, a context manager that swaps them in so old and
   new can be timed back-to-back in one process.  Speedup *ratios* are
   machine-portable in a way absolute MB/s numbers are not, so the
   committed baseline (``benchmarks/perf_baseline.json``) stores ratios.
-* :mod:`repro.perf.workloads` — the standard inputs every benchmark
-  uses (a synthetic photo JPEG, a short fig7 simulation config).
+  The sim kernel has no reference copy; pinned digests in the tests
+  hold its simulated outputs fixed.
+* :mod:`repro.perf.workloads` — the standard decode input every
+  benchmark uses (a synthetic photo JPEG).
 
 Run ``python -m repro.perf`` for a human-readable table.
 """

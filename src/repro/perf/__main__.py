@@ -1,4 +1,4 @@
-"""CLI: time the optimized hot paths against their pre-pass selves.
+"""CLI: time the optimized decoder against its pre-pass self.
 
 Usage:
     python -m repro.perf                  # table on stdout
@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from .harness import bench, to_payload, write_payload
 from .reference import reference_mode
-from .workloads import codec_workload, fig7_config
+from .workloads import codec_workload
 
 
 def run_suite(quick: bool = False):
-    """Benchmark decode and fig7 in optimized and reference mode.
+    """Benchmark decode in optimized and reference mode.
 
     Returns ``(results, derived, rows)`` — BenchResults, the speedup
-    ratios for the baseline file, and printable table rows.
+    ratio for the baseline file, and printable table rows.
     """
     from ..jpeg.decoder import decode
-    from ..workflows.inference import run_inference
 
     k = 3 if quick else 5
     min_time = 0.05 if quick else 0.2
@@ -50,56 +48,16 @@ def run_suite(quick: bool = False):
     if not np.array_equal(decode(wl.data), ref_pixels):
         raise AssertionError("decode output differs between modes")
 
-    cfg = fig7_config()
-    run_inference(cfg)  # warm both code and caches
-
-    def time_fig7():
-        t0 = time.perf_counter()
-        result = run_inference(cfg)
-        return time.perf_counter() - t0, result.throughput
-
-    # Interleave the modes round-by-round so slow machine drift hits
-    # both sides equally instead of biasing the ratio.
-    reps = 1 if quick else 3
-    with reference_mode():
-        run_inference(cfg)  # warm the reference paths too
-    new_runs, old_runs = [], []
-    new_tp = old_tp = None
-    for _ in range(reps):
-        dt, new_tp = time_fig7()
-        new_runs.append(dt)
-        with reference_mode():
-            dt, old_tp = time_fig7()
-            old_runs.append(dt)
-    if new_tp != old_tp:
-        raise AssertionError(
-            f"fig7 throughput differs between modes: {new_tp} vs {old_tp}")
-
-    from .harness import BenchResult
-    new_sim = BenchResult(name="sim.fig7", best_s=min(new_runs),
-                          mean_s=sum(new_runs) / len(new_runs),
-                          runs=tuple(new_runs), reps=1,
-                          units={"images": new_tp * min(new_runs)})
-    old_sim = BenchResult(name="sim.fig7_ref", best_s=min(old_runs),
-                          mean_s=sum(old_runs) / len(old_runs),
-                          runs=tuple(old_runs), reps=1,
-                          units={"images": old_tp * min(old_runs)})
-
     derived = {
         "codec.decode_speedup": old_dec.best_s / new_dec.best_s,
-        "sim.fig7_speedup": old_sim.best_s / new_sim.best_s,
     }
     rows = [
         ("JPEG decode (240x320 q80)",
          f"{wl.nbytes / new_dec.best_s / 1e6:.1f} MB/s",
          f"{wl.nbytes / old_dec.best_s / 1e6:.1f} MB/s",
          f"{derived['codec.decode_speedup']:.2f}x"),
-        ("fig7 modeled cell (googlenet/dlbooster)",
-         f"{new_sim.best_s:.2f} s",
-         f"{old_sim.best_s:.2f} s",
-         f"{derived['sim.fig7_speedup']:.2f}x"),
     ]
-    return [new_dec, old_dec, new_sim, old_sim], derived, rows
+    return [new_dec, old_dec], derived, rows
 
 
 def main(argv=None) -> int:

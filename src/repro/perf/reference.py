@@ -1,4 +1,4 @@
-"""Verbatim pre-optimization implementations + ``reference_mode()``.
+"""Verbatim pre-optimization codec implementations + ``reference_mode()``.
 
 Every function/method here is the implementation the wall-clock
 performance pass replaced, copied unchanged (modulo the ``_ref``
@@ -9,29 +9,20 @@ speedup ratio is what the committed perf baseline stores, because
 ratios transfer across machines while absolute MB/s numbers do not.
 
 Both implementations are bit-exact by contract (the optimized paths
-consume identical bits, produce identical pixels/metrics and raise
-identical errors), so benchmarks also assert output equality across the
-mode switch.
+consume identical bits, produce identical pixels and raise identical
+errors), so benchmarks also assert output equality across the mode
+switch.  The patches are bit-by-bit Huffman ``decode``/``decode_block``,
+byte-at-a-time ``BitReader._pull_byte``, double-converting
+``idct2_dequant``, full-frame-converting ``resize_bilinear``,
+stack-allocating ``planes_to_image`` and per-block-copying
+``entropy_decode``, plus a bypass of the decode cache.
 
-The patch set covers three layers:
-
-* codec — bit-by-bit Huffman ``decode``/``decode_block``, byte-at-a-time
-  ``BitReader._pull_byte``, double-converting ``idct2_dequant``,
-  full-frame-converting ``resize_bilinear``, stack-allocating
-  ``planes_to_image``, per-block-copying ``entropy_decode``;
-* sim kernel — ``Event.succeed``/``_run_callbacks`` via ``_push``,
-  ``Timeout.__init__`` through ``Event.__init__``, lambda-based
-  ``Process._resume``, ``Environment.run`` stepping one event per
-  ``step()`` call, waiter-queue-roundtrip ``StorePut``/``StoreGet``,
-  attribute-heavy ``Store._drain``;
-* telemetry — eager-``insort`` ``LatencyRecorder.record``,
-  ``max``/``min``-builtin ``TimeWeighted.set``, property-clock
-  ``BusyTracker`` and ``Channel.put``/``get``.
+The sim kernel and telemetry are not covered: their simulated outputs
+are held bit-exact by pinned digests in the tests instead.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from contextlib import contextmanager
 from typing import Any, Optional
 
@@ -49,11 +40,6 @@ from ..jpeg.color import upsample_420, ycbcr_to_rgb
 from ..jpeg.dct import idct2
 from ..jpeg.huffman import (EOB, ZRL, HuffmanTable, decode_magnitude)
 from ..jpeg.jfif import JpegFormatError, ParsedJpeg
-from ..sim import core as _core
-from ..sim import monitor as _monitor
-from ..sim import queues as _queues
-from ..sim import resources as _resources
-from ..sim.core import PENDING, PROCESSED, TRIGGERED, Event, SimulationError
 
 __all__ = ["reference_mode"]
 
@@ -267,176 +253,6 @@ def planes_to_image_ref(parsed: ParsedJpeg,
     return ycbcr_to_rgb(ycc)
 
 
-# --------------------------------------------------------------------------
-# Sim kernel
-# --------------------------------------------------------------------------
-
-def _succeed_ref(self, value: Any = None) -> Event:
-    if self._state != PENDING:
-        raise SimulationError("event already triggered")
-    self._value = value
-    self._ok = True
-    self._state = TRIGGERED
-    self.env._push(self)
-    return self
-
-
-def _run_callbacks_ref(self) -> None:
-    self._state = PROCESSED
-    callbacks, self.callbacks = self.callbacks, []
-    for cb in callbacks:
-        cb(self)
-
-
-def _timeout_init_ref(self, env, delay: float, value: Any = None):
-    if delay < 0:
-        raise ValueError(f"negative delay {delay!r}")
-    Event.__init__(self, env)
-    self.delay = delay
-    self._value = value
-    self._ok = True
-    self._state = TRIGGERED
-    env._push(self, delay)
-
-
-def _resume_ref(self, event: Event) -> None:
-    self._waiting_on = None
-    if event._ok:
-        self._step(lambda: self.generator.send(event._value))
-    else:
-        self._step(lambda: self.generator.throw(event._value))
-
-
-def _run_ref(self, until=None) -> Any:
-    if isinstance(until, Event):
-        stop_evt = until
-        while not stop_evt.triggered:
-            if not self._queue:
-                raise SimulationError(
-                    "simulation ran dry before the awaited event fired")
-            self.step()
-        if not stop_evt._ok:
-            raise stop_evt._value
-        return stop_evt._value
-
-    if until is not None:
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(
-                f"until={horizon} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = max(self._now, horizon)
-        return None
-
-    while self._queue:
-        self.step()
-    return None
-
-
-def _storeput_init_ref(self, store, item: Any):
-    Event.__init__(self, store.env)
-    self.item = item
-    store._put_waiters.append(self)
-    store._drain()
-
-
-def _storeget_init_ref(self, store, filter=None):
-    Event.__init__(self, store.env)
-    self.filter = filter
-    store._get_waiters.append(self)
-    store._drain()
-
-
-def _store_drain_ref(self) -> None:
-    progressed = True
-    while progressed:
-        progressed = False
-        # Admit puts while there is room.
-        while self._put_waiters and len(self.items) < self.capacity:
-            putter = self._put_waiters.popleft()
-            self.items.append(putter.item)
-            putter.succeed()
-            progressed = True
-        # Serve getters in arrival order; a filtered getter that cannot
-        # match stays at the head (strict FIFO, no overtaking).
-        while self._get_waiters:
-            getter = self._get_waiters[0]
-            if self._match_get(getter):
-                self._get_waiters.popleft()
-                progressed = True
-            else:
-                break
-
-
-# --------------------------------------------------------------------------
-# Telemetry
-# --------------------------------------------------------------------------
-
-def _tw_set_ref(self, value: float) -> None:
-    now = self.env.now
-    self._area += self._value * (now - self._last_t)
-    self._last_t = now
-    self._value = float(value)
-    self.max_value = max(self.max_value, self._value)
-    self.min_value = min(self.min_value, self._value)
-
-
-def _bt_begin_ref(self, category: str = "work") -> int:
-    token = self._next_token
-    self._next_token += 1
-    self._open[token] = (category, self.env.now)
-    return token
-
-
-def _bt_end_ref(self, token: int) -> None:
-    category, start = self._open.pop(token)
-    self._busy[category] = self._busy.get(category, 0.0) + (
-        self.env.now - start)
-
-
-def _lr_record_ref(self, latency: float, trace_id=None) -> None:
-    if latency < 0:
-        raise ValueError(f"negative latency {latency}")
-    self._count += 1
-    self._sum += latency
-    if latency < self._min:
-        self._min = latency
-    if latency > self._max:
-        self._max = latency
-    entry = (latency, self._count, trace_id)
-    if len(self._sorted) < self._max_samples:
-        insort(self._sorted, entry)
-        return
-    j = self._rng.randrange(self._count)
-    if j < self._max_samples:
-        del self._sorted[j]
-        insort(self._sorted, entry)
-
-
-def _channel_put_ref(self, item: Any):
-    if self._rejects_at_admit(item):
-        return
-    yield self._store.put((self.env.now, item))
-    self.put_count += 1
-    self.occupancy.set(len(self._store))
-
-
-def _channel_get_ref(self):
-    while True:
-        stamped = yield self._store.get()
-        enq_t, item = stamped
-        if self.shed is not None and self.shed.drop_expired_at_dequeue \
-                and self.shed.expired(item, self.env.now):
-            self.occupancy.set(len(self._store))
-            self._shed_item(item, "dequeue")
-            continue
-        self.get_count += 1
-        self.wait.record(self.env.now - enq_t)
-        self.occupancy.set(len(self._store))
-        return item
-
-
 def _decode_bitwise(self, reader: BitReader) -> int:
     """Pre-pass HuffmanTable.decode: delegate straight to decode_ref
     (the 8-bit lookahead fast path did not exist)."""
@@ -451,7 +267,6 @@ def _decode_bitwise(self, reader: BitReader) -> int:
 # functions must be patched at every `from x import f` binding site;
 # class methods patch once and apply everywhere.
 _PATCHES: list[tuple[Any, str, Any]] = [
-    # codec
     (_jpeg_cache, "_BYPASS", True),     # no memoized decodes in A/B runs
     (_bitstream.BitReader, "_pull_byte", _pull_byte_ref),
     (HuffmanTable, "decode", _decode_bitwise),
@@ -465,22 +280,6 @@ _PATCHES: list[tuple[Any, str, Any]] = [
     (_resize, "resize_bilinear", resize_bilinear_ref),
     (_decoder, "resize_bilinear", resize_bilinear_ref),
     (_decoder, "planes_to_image", planes_to_image_ref),
-    # sim kernel
-    (_core.Event, "succeed", _succeed_ref),
-    (_core.Event, "_run_callbacks", _run_callbacks_ref),
-    (_core.Timeout, "__init__", _timeout_init_ref),
-    (_core.Process, "_resume", _resume_ref),
-    (_core.Environment, "run", _run_ref),
-    (_resources.StorePut, "__init__", _storeput_init_ref),
-    (_resources.StoreGet, "__init__", _storeget_init_ref),
-    (_resources.Store, "_drain", _store_drain_ref),
-    # telemetry
-    (_monitor.TimeWeighted, "set", _tw_set_ref),
-    (_monitor.BusyTracker, "begin", _bt_begin_ref),
-    (_monitor.BusyTracker, "end", _bt_end_ref),
-    (_monitor.LatencyRecorder, "record", _lr_record_ref),
-    (_queues.Channel, "put", _channel_put_ref),
-    (_queues.Channel, "get", _channel_get_ref),
 ]
 
 # fpga.decoder re-binds several jpeg names at import time; patch those
@@ -499,7 +298,7 @@ def _fpga_patches() -> list[tuple[Any, str, Any]]:
 
 @contextmanager
 def reference_mode():
-    """Swap every optimized hot path for its pre-pass implementation.
+    """Swap every optimized codec hot path for its pre-pass implementation.
 
     Usage::
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CodecWorkload", "codec_workload", "fig7_config",
-           "FIG7_BATCH", "FIG7_WARMUP_S", "FIG7_MEASURE_S"]
+__all__ = ["CodecWorkload", "codec_workload"]
 
 
 @dataclass(frozen=True)
@@ -39,17 +38,3 @@ def codec_workload(height: int = 240, width: int = 320,
     return CodecWorkload(data=encode(img, quality=quality),
                          height=height, width=width, quality=quality)
 
-
-# fig7 benchmark parameters: long enough that kernel throughput
-# dominates, short enough for CI (a few seconds per mode).
-FIG7_BATCH = 8
-FIG7_WARMUP_S = 0.8
-FIG7_MEASURE_S = 2.5
-
-
-def fig7_config(model: str = "googlenet", backend: str = "dlbooster"):
-    """The sim-kernel benchmark: one fig7 inference cell, modeled mode."""
-    from ..workflows.inference import InferenceConfig
-    return InferenceConfig(model=model, backend=backend,
-                           batch_size=FIG7_BATCH, warmup_s=FIG7_WARMUP_S,
-                           measure_s=FIG7_MEASURE_S)

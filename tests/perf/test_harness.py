@@ -84,15 +84,20 @@ def test_check_regression():
 
 
 def test_reference_mode_restores_on_exit():
+    from repro.fpga import decoder as fpga_decoder_mod
     from repro.jpeg import decoder as decoder_mod
     from repro.jpeg.huffman import HuffmanTable
-    from repro.sim.core import Event
-    before = (decoder_mod.decode_block, HuffmanTable.decode, Event.succeed)
+
+    def probe():
+        return (decoder_mod.decode_block, HuffmanTable.decode,
+                decoder_mod.resize_bilinear,
+                fpga_decoder_mod.entropy_decode)   # an _fpga_patches site
+
+    before = probe()
     with reference_mode():
-        during = (decoder_mod.decode_block, HuffmanTable.decode,
-                  Event.succeed)
+        during = probe()
         assert all(d is not b for d, b in zip(during, before))
-    after = (decoder_mod.decode_block, HuffmanTable.decode, Event.succeed)
+    after = probe()
     assert all(a is b for a, b in zip(after, before))
 
 
@@ -117,34 +122,3 @@ def test_reference_mode_decode_bit_identical():
     with reference_mode():
         old = decode(data)
     assert np.array_equal(new, old)
-
-
-def test_reference_mode_sim_bit_identical():
-    """A small end-to-end sim gives identical results either mode."""
-    from repro.sim import Channel, Environment
-
-    def run_once():
-        env = Environment()
-        ch = Channel(env, capacity=4, name="t")
-        got = []
-
-        def producer():
-            for i in range(50):
-                yield from ch.put(i)
-                yield env.timeout(0.25)
-
-        def consumer():
-            for _ in range(50):
-                item = yield from ch.get()
-                got.append((env.now, item))
-                yield env.timeout(0.4)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        return got, env.now, ch.wait.percentile(0.99), ch.put_count
-
-    new = run_once()
-    with reference_mode():
-        old = run_once()
-    assert new == old

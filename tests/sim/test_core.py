@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Environment, Interrupt,
-                       SimulationError)
+from repro.sim import (AllOf, AnyOf, Channel, Environment, Interrupt,
+                       SimulationError, Store)
 
 
 def test_clock_starts_at_zero():
@@ -424,8 +424,57 @@ def _actor_soup(env, seed):
     return log
 
 
+def _channel_pingpong(env):
+    """A fast producer and a slow consumer through a 4-slot Channel: the
+    Store's put/get admission, the channel's wait recorder and its put
+    counter.  The log ends with ``(now, wait p99, put_count)``."""
+    ch = Channel(env, capacity=4, name="t")
+    got = []
+
+    def producer():
+        for i in range(50):
+            yield from ch.put(i)
+            yield env.timeout(0.25)
+
+    def consumer():
+        for _ in range(50):
+            item = yield from ch.get()
+            got.append((env.now, item))
+            yield env.timeout(0.4)
+        got.append((env.now, ch.wait.percentile(0.99), ch.put_count))
+
+    env.process(producer())
+    env.process(consumer())
+    return got
+
+
+def _store_getter_queue(env):
+    """Three getters queue on an empty Store as items trickle in: each
+    item goes to the longest-waiting getter."""
+    store = Store(env, capacity=2)
+    log = []
+
+    def getter(name):
+        for _ in range(4):
+            item = yield store.get()
+            log.append((env.now, name, item))
+            yield env.timeout(0.05)
+
+    def producer():
+        for i in range(12):
+            yield env.timeout(0.1)
+            yield store.put(i)
+
+    for name in ("a", "b", "c"):
+        env.process(getter(name))
+    env.process(producer())
+    return log
+
+
 # (load, until, sha256 of repr(event log), events_processed).  The pins
-# freeze the kernel's event order: any change to it fails here.
+# freeze the kernel's event order: any change to it fails here.  The
+# ping-pong and getter-queue pins are also what the pre-optimization
+# kernel, store and telemetry produced.
 _PINNED_RUNS = [
     (_two_periodic, 20.0,
      "f6c505d240710c3929419a610eefd30dd17c33c314de5b092e234e31b45b9fe8",
@@ -439,6 +488,12 @@ _PINNED_RUNS = [
     (lambda env: _actor_soup(env, seed=2), 2.0,
      "6e073b182422abd0fd5e609771e2504eee784aa0ce9abfb4764472da12558604",
      1362),
+    (_channel_pingpong, 30.0,
+     "2ae0accc8cbf45f8f2f4c75e5e3c1800b8ff695bdfbf8a77273378e970017285",
+     204),
+    (_store_getter_queue, 5.0,
+     "ca75da04fdc8aeb488de980df1717a52040fda4ea2480f419a18a38e6aa417f6",
+     56),
 ]
 
 

@@ -11,15 +11,35 @@ indices line up with the eager implementation's.
 
 import math
 import random
+from bisect import insort
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.reference import _lr_record_ref
 from repro.sim.monitor import LatencyRecorder
 from repro.sweep.transport import pack_recorder, unpack_recorder
+
+
+# The pre-pass LatencyRecorder.record: insort on every record.
+def _lr_record_ref(self, latency: float, trace_id=None) -> None:
+    if latency < 0:
+        raise ValueError(f"negative latency {latency}")
+    self._count += 1
+    self._sum += latency
+    if latency < self._min:
+        self._min = latency
+    if latency > self._max:
+        self._max = latency
+    entry = (latency, self._count, trace_id)
+    if len(self._sorted) < self._max_samples:
+        insort(self._sorted, entry)
+        return
+    j = self._rng.randrange(self._count)
+    if j < self._max_samples:
+        del self._sorted[j]
+        insort(self._sorted, entry)
 
 
 def eager_recorder(name="lat", max_samples=200_000):

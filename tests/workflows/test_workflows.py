@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engines import CpuCorePool
-from repro.sim import Counter, Environment
+from repro.sim import Counter, Environment, total_events_processed
 from repro.workflows import (CounterWindow, CpuWindow, InferenceConfig,
                              TrainingConfig, ideal_training_throughput,
                              run_inference, run_training)
@@ -115,6 +115,21 @@ def test_run_inference_deterministic():
     b = run_inference(cfg)
     assert a.throughput == b.throughput
     assert a.latency_mean_ms == b.latency_mean_ms
+
+
+def test_run_inference_fig7_cell_pinned():
+    """A short Fig. 7 cell, pinned bit-exactly: simulated results and the
+    kernel's event count, all equal to the pre-optimization kernel's.
+    The client RTT mean moves by an ulp if time ties break differently."""
+    cfg = InferenceConfig(model="googlenet", backend="dlbooster",
+                          batch_size=8, warmup_s=0.2, measure_s=0.5)
+    ev0 = total_events_processed()
+    res = run_inference(cfg)
+    assert (res.throughput, res.cpu_cores, res.latency_p99_ms,
+            res.extras["client_rtt_ms"],
+            total_events_processed() - ev0) == (
+        5440.000000000001, 1.2495816000000055, 5.717155114666621,
+        4.597609050692145, 108377)
 
 
 def test_run_inference_two_gpus_scale():
